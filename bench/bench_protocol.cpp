@@ -3,6 +3,9 @@
 // verification audit in isolation.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <utility>
+
 #include "core/runner.hpp"
 #include "core/verification.hpp"
 #include "support/rng.hpp"
@@ -44,17 +47,17 @@ void BM_VerifyCertificate(benchmark::State& state) {
   cert.owner = 0;
   cert.color = 1;
   for (std::uint32_t v = 1; v <= params.q; ++v) {
-    rfc::core::CommitmentRecord record;
-    record.intention.resize(params.q);
+    rfc::core::VoteIntention intention(params.q);
     for (std::uint32_t j = 0; j < params.q; ++j) {
-      record.intention[j] = {rng.below(params.m),
-                             static_cast<rfc::sim::AgentId>(rng.below(n))};
+      intention[j] = {rng.below(params.m),
+                      static_cast<rfc::sim::AgentId>(rng.below(n))};
     }
     // One declared vote per audited peer lands on the owner.
     const std::uint32_t j = v % params.q;
-    record.intention[j].target = 0;
-    cert.votes.push_back({v, j, record.intention[j].value});
-    collected.emplace(v, std::move(record));
+    intention[j].target = 0;
+    cert.votes.push_back({v, j, intention[j].value});
+    collected.emplace(v, {std::make_shared<const rfc::core::VoteIntention>(
+                             std::move(intention))});
   }
   cert.k = cert.vote_sum(params);
 

@@ -1,6 +1,7 @@
 #include "core/async_protocol.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "core/payloads.hpp"
 #include "core/runner.hpp"
@@ -26,28 +27,26 @@ sim::Payload make_async_vote_payload(std::uint64_t value,
 /// Composite pull reply: the servee cannot know whether the puller is
 /// auditing (wants H) or broadcasting (wants CE_min), so it sends both.
 /// This costs a constant-factor message inflation over the synchronous
-/// protocol — part of the price of the sequential model.
+/// protocol — part of the price of the sequential model.  Both parts are
+/// references to the server's own boxes, never copies.
 struct AsyncReply {
-  VoteIntention intention;
-  bool has_cert = false;
-  Certificate cert;
+  SharedIntention intention;
+  SharedCertificate cert;  ///< Null when the server has no CE_min yet.
 };
 
 sim::Payload make_async_reply_payload(rfc::support::Arena* arena,
-                                      const VoteIntention& intention,
-                                      const Certificate* min_cert,
+                                      const SharedIntention& intention,
+                                      const SharedCertificate& min_cert,
                                       const ProtocolParams& params) {
-  const bool has_cert = min_cert != nullptr;
   const std::uint64_t bits =
-      intention.size() * (static_cast<std::uint64_t>(params.value_bits()) +
-                          params.label_bits()) +
-      1 + (has_cert ? min_cert->bit_size(params) : 0);
+      intention->size() * (static_cast<std::uint64_t>(params.value_bits()) +
+                           params.label_bits()) +
+      1 + (min_cert != nullptr ? min_cert->bit_size(params) : 0);
   // Transient by construction: the reply is consumed by the puller's
-  // on_pull_reply within the same activation, so the round arena owns it.
+  // on_pull_reply within the same activation, so the round arena owns it
+  // (and the references it holds are dropped at the barrier).
   return sim::Payload::make_boxed_in<AsyncReply>(
-      arena, kAsyncReplyPayloadTag, bits,
-      AsyncReply{intention, has_cert,
-                 has_cert ? *min_cert : Certificate{}});
+      arena, kAsyncReplyPayloadTag, bits, AsyncReply{intention, min_cert});
 }
 
 const AsyncReply* async_reply_in(const sim::Payload& p) noexcept {
@@ -108,11 +107,12 @@ AsyncProtocolAgent::AsyncProtocolAgent(const ProtocolParams& params,
     : params_(params), schedule_(schedule), color_(color) {}
 
 void AsyncProtocolAgent::on_start(const sim::Context& ctx) {
-  intention_.resize(params_.q);
-  for (VoteEntry& e : intention_) {
+  VoteIntention h(params_.q);
+  for (VoteEntry& e : h) {
     e.value = ctx.rng->below(params_.m);
     e.target = ctx.random_peer();
   }
+  intention_ = std::make_shared<const VoteIntention>(std::move(h));
 }
 
 sim::Action AsyncProtocolAgent::on_round(const sim::Context& ctx) {
@@ -124,28 +124,23 @@ sim::Action AsyncProtocolAgent::on_round(const sim::Context& ctx) {
       return sim::Action::pull(ctx.random_peer());
     case AsyncSchedule::LocalPhase::kVoting: {
       const std::uint32_t i = schedule_.index_of(a);
-      const VoteEntry& vote = intention_.at(i);
+      const VoteEntry& vote = intention_->at(i);
       return sim::Action::push(
           vote.target, make_async_vote_payload(vote.value, i, params_));
     }
     case AsyncSchedule::LocalPhase::kFindMin:
-      if (!own_cert_built_) {
-        own_cert_ = make_certificate(params_, ctx.self, color_,
-                                     received_votes_);
-        own_cert_built_ = true;
-        if (!has_min_cert_ || own_cert_.less_than(min_cert_)) {
+      if (own_cert_ == nullptr) {
+        own_cert_ = std::make_shared<const Certificate>(
+            make_certificate(params_, ctx.self, color_, received_votes_));
+        if (min_cert_ == nullptr || own_cert_->less_than(*min_cert_)) {
           min_cert_ = own_cert_;
         }
-        has_min_cert_ = true;
       }
       return sim::Action::pull(ctx.random_peer());
     case AsyncSchedule::LocalPhase::kCoherence:
       in_coherence_ = true;
-      // The pushed certificate is copied out by every receiver's
-      // consider_certificate within the round — arena-transient.
-      return sim::Action::push(
-          ctx.random_peer(),
-          make_certificate_payload_in(ctx.arena, min_cert_, params_));
+      return sim::Action::push(ctx.random_peer(),
+                               make_certificate_payload(min_cert_, params_));
     case AsyncSchedule::LocalPhase::kFinished:
       finalize();
       return sim::Action::idle();
@@ -161,8 +156,7 @@ sim::Payload AsyncProtocolAgent::serve_pull(const sim::Context& ctx,
   // Decided agents keep serving: in the sequential model fast agents finish
   // while slow auditors are still working, and refusing them would make
   // honest agents look faulty.
-  return make_async_reply_payload(
-      ctx.arena, intention_, has_min_cert_ ? &min_cert_ : nullptr, params_);
+  return make_async_reply_payload(ctx.arena, intention_, min_cert_, params_);
 }
 
 void AsyncProtocolAgent::on_pull_reply(const sim::Context&,
@@ -173,25 +167,14 @@ void AsyncProtocolAgent::on_pull_reply(const sim::Context&,
   const auto phase = schedule_.phase_of(activations_ - 1);
   if (phase == AsyncSchedule::LocalPhase::kCommitment) {
     if (collected_.contains(target)) return;  // First declaration wins.
-    CommitmentRecord record;
-    record.marked_faulty = true;
-    if (payload != nullptr && payload->intention.size() == params_.q) {
-      bool well_formed = true;
-      for (const VoteEntry& e : payload->intention) {
-        if (e.value >= params_.m || e.target >= params_.n) {
-          well_formed = false;
-          break;
-        }
-      }
-      if (well_formed) {
-        record.marked_faulty = false;
-        record.intention = payload->intention;
-      }
-    }
-    collected_.emplace(target, std::move(record));
+    collected_.reserve(params_.q);  // One record per Commitment pull at most.
+    collected_.emplace(
+        target, commitment_record(params_, payload != nullptr
+                                               ? payload->intention
+                                               : nullptr));
   } else if (phase == AsyncSchedule::LocalPhase::kFindMin) {
-    if (payload != nullptr && payload->has_cert &&
-        payload->cert.less_than(min_cert_)) {
+    if (payload != nullptr && payload->cert != nullptr &&
+        payload->cert->less_than(*min_cert_)) {
       min_cert_ = payload->cert;
     }
   }
@@ -203,7 +186,7 @@ void AsyncProtocolAgent::on_push(const sim::Context&, sim::AgentId sender,
   if (payload.tag() == kAsyncVotePayloadTag) {
     // Votes landing after the certificate is sealed are lost — the
     // misalignment the guard bands exist to make unlikely.
-    if (!own_cert_built_) {
+    if (own_cert_ == nullptr) {
       received_votes_.push_back(ReceivedVote{
           sender, static_cast<std::uint32_t>(payload.word(1)),
           payload.word(0)});
@@ -212,16 +195,16 @@ void AsyncProtocolAgent::on_push(const sim::Context&, sim::AgentId sender,
   }
   if (const Certificate* cert = certificate_in(payload)) {
     if (in_coherence_) {
-      // Algorithm 1's Coherence rule: any disagreement is fatal.
-      if (!(*cert == min_cert_)) {
+      // Algorithm 1's Coherence rule: any disagreement is fatal.  Agents
+      // that agree push the same box, so identity settles most checks.
+      if (cert != min_cert_.get() && !(*cert == *min_cert_)) {
         failed_ = true;
         failed_in_coherence_ = true;
       }
-    } else if (!has_min_cert_ || cert->less_than(min_cert_)) {
+    } else if (min_cert_ == nullptr || cert->less_than(*min_cert_)) {
       // An early coherence push from a fast peer doubles as Find-Min
       // information.
-      min_cert_ = *cert;
-      has_min_cert_ = true;
+      min_cert_ = shared_certificate_in(payload);
     }
   }
 }
@@ -229,10 +212,10 @@ void AsyncProtocolAgent::on_push(const sim::Context&, sim::AgentId sender,
 void AsyncProtocolAgent::finalize() {
   if (decided_ || failed_) return;
   const VerificationResult result =
-      verify_certificate(params_, min_cert_, collected_);
+      verify_certificate(params_, *min_cert_, collected_);
   verification_failure_ = result.failure;
   if (result.accepted()) {
-    final_color_ = min_cert_.color;
+    final_color_ = min_cert_->color;
     decided_ = true;
   } else {
     failed_ = true;

@@ -141,13 +141,15 @@ class AsyncProtocolAgent final : public sim::Agent {
   AsyncSchedule schedule_;
   Color color_;
   std::uint64_t activations_ = 0;
-  VoteIntention intention_;
+  // H_u and the certificates are immutable shared boxes, as in the
+  // synchronous agent: every reply serves the same H_u box and CE_min box,
+  // and auditors keep references (core/types.hpp).
+  SharedIntention intention_;
   CollectedIntentions collected_;
   ReceivedVotes received_votes_;
-  Certificate own_cert_;
-  bool own_cert_built_ = false;
-  Certificate min_cert_;   ///< Best certificate seen (incl. early pushes).
-  bool has_min_cert_ = false;
+  SharedCertificate own_cert_;  ///< Null until built.
+  SharedCertificate min_cert_;  ///< Best seen (incl. early pushes); null
+                                ///< until the first one.
   bool in_coherence_ = false;
   bool failed_ = false;
   bool failed_in_coherence_ = false;

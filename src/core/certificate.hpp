@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "core/params.hpp"
 #include "core/types.hpp"
@@ -44,6 +45,12 @@ struct Certificate {
   /// collision-resistant hash in the coherence-digest optimization).
   std::uint64_t digest() const noexcept;
 };
+
+/// An immutable, shared certificate.  CE_u and CE_min are boxed once and
+/// every agent holding the same certificate (and every payload carrying
+/// it) keeps a reference, so Find-Min adoption is a reference count bump
+/// and the Coherence check can compare box identity before contents.
+using SharedCertificate = std::shared_ptr<const Certificate>;
 
 /// The honest certificate for agent `owner`: k computed from `votes`.
 Certificate make_certificate(const ProtocolParams& params, sim::AgentId owner,

@@ -1,5 +1,6 @@
 #include "core/payloads.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "sim/network.hpp"
@@ -66,11 +67,17 @@ sim::Payload clone_intention(const sim::Payload& p) {
 
 sim::Payload make_intention_payload(VoteIntention intention,
                                     const ProtocolParams& params) {
+  return make_intention_payload(
+      std::make_shared<const VoteIntention>(std::move(intention)), params);
+}
+
+sim::Payload make_intention_payload(SharedIntention intention,
+                                    const ProtocolParams& params) {
   const std::uint64_t bits =
-      intention.size() * (static_cast<std::uint64_t>(params.value_bits()) +
-                          params.label_bits());
-  return sim::Payload::make_boxed<VoteIntention>(kIntentionPayloadTag, bits,
-                                                 std::move(intention));
+      intention->size() * (static_cast<std::uint64_t>(params.value_bits()) +
+                           params.label_bits());
+  return sim::Payload::boxed<VoteIntention>(kIntentionPayloadTag, bits,
+                                            std::move(intention));
 }
 
 sim::Payload make_intention_payload_in(rfc::support::Arena* arena,
@@ -91,9 +98,15 @@ sim::Payload make_vote_payload(std::uint64_t value,
 
 sim::Payload make_certificate_payload(Certificate certificate,
                                       const ProtocolParams& params) {
-  const std::uint64_t bits = certificate.bit_size(params);
-  return sim::Payload::make_boxed<Certificate>(kCertificatePayloadTag, bits,
-                                               std::move(certificate));
+  return make_certificate_payload(
+      std::make_shared<const Certificate>(std::move(certificate)), params);
+}
+
+sim::Payload make_certificate_payload(SharedCertificate certificate,
+                                      const ProtocolParams& params) {
+  const std::uint64_t bits = certificate->bit_size(params);
+  return sim::Payload::boxed<Certificate>(kCertificatePayloadTag, bits,
+                                          std::move(certificate));
 }
 
 sim::Payload make_certificate_payload_in(rfc::support::Arena* arena,
@@ -102,6 +115,23 @@ sim::Payload make_certificate_payload_in(rfc::support::Arena* arena,
   const std::uint64_t bits = certificate.bit_size(params);
   return sim::Payload::make_boxed_in<Certificate>(
       arena, kCertificatePayloadTag, bits, std::move(certificate));
+}
+
+SharedIntention shared_intention_in(const sim::Payload& p) {
+  if (auto shared = p.shared_as<VoteIntention>(kIntentionPayloadTag)) {
+    return shared;
+  }
+  const VoteIntention* h = intention_in(p);  // Arena-boxed: copy it out.
+  return h == nullptr ? nullptr : std::make_shared<const VoteIntention>(*h);
+}
+
+SharedCertificate shared_certificate_in(const sim::Payload& p) {
+  if (auto shared = p.shared_as<Certificate>(kCertificatePayloadTag)) {
+    return shared;
+  }
+  const Certificate* cert = certificate_in(p);  // Arena-boxed: copy it out.
+  return cert == nullptr ? nullptr
+                         : std::make_shared<const Certificate>(*cert);
 }
 
 sim::Payload make_digest_payload(std::uint64_t digest) noexcept {

@@ -33,6 +33,11 @@ inline constexpr sim::PayloadTag kAsyncReplyPayloadTag = 0x29;  // AsyncReply
 sim::Payload make_intention_payload(VoteIntention intention,
                                     const ProtocolParams& params);
 
+/// Wraps an already-boxed intention: every payload serving it shares the
+/// one box (no copy per serve).
+sim::Payload make_intention_payload(SharedIntention intention,
+                                    const ProtocolParams& params);
+
 /// Arena-boxed variant for *transient* replies (consumed in this round's
 /// delivery hook, never cached): bump-allocates in the engine's round arena
 /// when one is live (Context::arena), falling back to the shared form when
@@ -49,6 +54,10 @@ sim::Payload make_vote_payload(std::uint64_t value,
 
 /// Find-Min reply / Coherence push: a full certificate.
 sim::Payload make_certificate_payload(Certificate certificate,
+                                      const ProtocolParams& params);
+
+/// Wraps an already-boxed certificate (CE_u / CE_min) without copying it.
+sim::Payload make_certificate_payload(SharedCertificate certificate,
                                       const ProtocolParams& params);
 
 /// Arena-boxed variant (same transient-only contract as
@@ -70,6 +79,12 @@ inline const VoteIntention* intention_in(const sim::Payload& p) noexcept {
 inline const Certificate* certificate_in(const sim::Payload& p) noexcept {
   return p.boxed_as<Certificate>(kCertificatePayloadTag);
 }
+
+/// Shared handles for receivers that retain what they got: the payload's
+/// own heap box when it has one, a private copy when it is arena-boxed (the
+/// arena dies at the round barrier), null on tag mismatch or empty payload.
+SharedIntention shared_intention_in(const sim::Payload& p);
+SharedCertificate shared_certificate_in(const sim::Payload& p);
 
 inline bool is_vote(const sim::Payload& p) noexcept {
   return p.tag() == kVotePayloadTag;

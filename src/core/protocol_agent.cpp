@@ -1,6 +1,7 @@
 #include "core/protocol_agent.hpp"
 
 #include <memory>
+#include <utility>
 
 #include "core/payloads.hpp"
 
@@ -18,13 +19,26 @@ sim::AgentPhase to_agent_phase(Phase p) noexcept {
   return sim::AgentPhase::kUnknown;
 }
 
+/// What H_u, CE_u and CE_min point at before the agent builds them: a
+/// non-owning handle on one static empty object, so constructing agents
+/// touches no shared reference count.
+template <typename T>
+std::shared_ptr<const T> empty_box() {
+  static const T kEmpty{};
+  return std::shared_ptr<const T>(std::shared_ptr<const T>(), &kEmpty);
+}
+
 }  // namespace
 
 ProtocolAgent::ProtocolAgent(const ProtocolParams& params, Color color)
-    : params_(params), color_(color) {}
+    : params_(params),
+      color_(color),
+      intention_(empty_box<VoteIntention>()),
+      own_cert_(empty_box<Certificate>()),
+      min_cert_(empty_box<Certificate>()) {}
 
 void ProtocolAgent::on_start(const sim::Context& ctx) {
-  intention_ = choose_intention(ctx);
+  intention_ = std::make_shared<const VoteIntention>(choose_intention(ctx));
 }
 
 VoteIntention ProtocolAgent::choose_intention(const sim::Context& ctx) {
@@ -44,40 +58,31 @@ sim::Action ProtocolAgent::commitment_action(const sim::Context& ctx) {
 
 sim::Payload ProtocolAgent::commitment_reply(const sim::Context&,
                                              sim::AgentId) {
-  if (cached_intention_payload_.empty()) {
-    cached_intention_payload_ = make_intention_payload(intention_, params_);
-  }
-  return cached_intention_payload_;
+  return make_intention_payload(intention_, params_);
 }
 
 VoteEntry ProtocolAgent::vote_for_round(const sim::Context&,
                                         std::uint32_t i) {
-  return intention_.at(i);
+  return intention_->at(i);
 }
 
 Certificate ProtocolAgent::build_own_certificate(const sim::Context& ctx) {
   return make_certificate(params_, ctx.self, color_, received_votes_);
 }
 
-void ProtocolAgent::consider_certificate(const Certificate& certificate) {
-  if (certificate.less_than(min_cert_)) {
-    min_cert_ = certificate;
-    cached_min_cert_payload_ = {};
-  }
+void ProtocolAgent::consider_certificate(SharedCertificate certificate) {
+  if (certificate->less_than(*min_cert_)) min_cert_ = std::move(certificate);
 }
 
-sim::Payload ProtocolAgent::min_cert_payload() {
+sim::Payload ProtocolAgent::min_cert_payload() const {
   if (!has_min_certificate_) return {};
-  if (cached_min_cert_payload_.empty()) {
-    cached_min_cert_payload_ = make_certificate_payload(min_cert_, params_);
-  }
-  return cached_min_cert_payload_;
+  return make_certificate_payload(min_cert_, params_);
 }
 
 sim::Action ProtocolAgent::coherence_action(const sim::Context& ctx) {
   if (params_.coherence_digest) {
     return sim::Action::push(ctx.random_peer(),
-                             make_digest_payload(min_cert_.digest()));
+                             make_digest_payload(min_cert_->digest()));
   }
   return sim::Action::push(ctx.random_peer(), min_cert_payload());
 }
@@ -88,19 +93,23 @@ sim::Payload ProtocolAgent::find_min_reply(const sim::Context&,
 }
 
 void ProtocolAgent::on_coherence_certificate(const Certificate& certificate) {
-  if (!(certificate == min_cert_)) fail_protocol();
+  // Honest agents that agree hold (and push) the same box, so identity
+  // settles the common case without walking W.
+  if (&certificate != min_cert_.get() && !(certificate == *min_cert_)) {
+    fail_protocol();
+  }
 }
 
 void ProtocolAgent::on_coherence_digest(std::uint64_t digest) {
-  if (digest != min_cert_.digest()) fail_protocol();
+  if (digest != min_cert_->digest()) fail_protocol();
 }
 
 void ProtocolAgent::finalize(const sim::Context&) {
   const VerificationResult result =
-      verify_certificate(params_, min_cert_, collected_);
+      verify_certificate(params_, *min_cert_, collected_);
   verification_failure_ = result.failure;
   if (result.accepted()) {
-    decide(min_cert_.color);
+    decide(min_cert_->color);
   } else {
     fail_protocol();
   }
@@ -110,16 +119,20 @@ std::uint64_t ProtocolAgent::local_memory_bits() const noexcept {
   const std::uint64_t entry_bits =
       params_.value_bits() + params_.label_bits();
   std::uint64_t bits =
-      intention_.size() * entry_bits;  // H_u.
-  for (const auto& [peer, record] : collected_) {  // L_u.
+      intention_->size() * entry_bits;  // H_u.
+  // L_u is charged in full: the paper's agent stores every declared entry,
+  // whatever the simulator shares between agents.
+  for (const auto& [peer, record] : collected_) {
     bits += params_.label_bits() + 1;  // Peer label + faulty flag.
-    bits += record.intention.size() * entry_bits;
+    if (!record.marked_faulty()) {
+      bits += record.intention->size() * entry_bits;
+    }
   }
   const std::uint64_t vote_bits =
       params_.label_bits() + params_.round_bits() + params_.value_bits();
   bits += received_votes_.size() * vote_bits;  // W_u.
-  if (has_own_certificate_) bits += own_cert_.bit_size(params_);
-  if (has_min_certificate_) bits += min_cert_.bit_size(params_);
+  if (has_own_certificate_) bits += own_cert_->bit_size(params_);
+  if (has_min_certificate_) bits += min_cert_->bit_size(params_);
   return bits;
 }
 
@@ -147,11 +160,11 @@ sim::Action ProtocolAgent::on_round(const sim::Context& ctx) {
     }
     case Phase::kFindMin:
       if (ctx.round == params_.find_min_begin()) {
-        own_cert_ = build_own_certificate(ctx);
+        own_cert_ =
+            std::make_shared<const Certificate>(build_own_certificate(ctx));
         has_own_certificate_ = true;
         min_cert_ = own_cert_;
         has_min_certificate_ = true;
-        cached_min_cert_payload_ = {};
       }
       return sim::Action::pull(ctx.random_peer());
     case Phase::kCoherence:
@@ -184,26 +197,9 @@ void ProtocolAgent::record_commitment_reply(sim::AgentId target,
   // First declaration wins: if we already hold a record for `target`
   // (pulled it twice), the original stands.
   if (collected_.contains(target)) return;
-  CommitmentRecord record;
-  record.marked_faulty = true;
-  if (const VoteIntention* h = intention_in(reply)) {
-    // "Replies in an unexpected way" (footnote 4): wrong length or
-    // out-of-domain entries also mark the peer faulty.
-    if (h->size() == params_.q) {
-      bool well_formed = true;
-      for (const VoteEntry& e : *h) {
-        if (e.value >= params_.m || e.target >= params_.n) {
-          well_formed = false;
-          break;
-        }
-      }
-      if (well_formed) {
-        record.marked_faulty = false;
-        record.intention = *h;
-      }
-    }
-  }
-  collected_.emplace(target, std::move(record));
+  collected_.reserve(params_.q);  // One record per Commitment pull at most.
+  collected_.emplace(target,
+                     commitment_record(params_, shared_intention_in(reply)));
 }
 
 void ProtocolAgent::on_pull_reply(const sim::Context& ctx, sim::AgentId target,
@@ -214,8 +210,8 @@ void ProtocolAgent::on_pull_reply(const sim::Context& ctx, sim::AgentId target,
       record_commitment_reply(target, reply);
       break;
     case Phase::kFindMin:
-      if (const Certificate* cert = certificate_in(reply)) {
-        consider_certificate(*cert);
+      if (SharedCertificate cert = shared_certificate_in(reply)) {
+        consider_certificate(std::move(cert));
       }
       break;
     default:

@@ -41,7 +41,7 @@ class ProtocolAgent : public sim::Agent {
   }
 
   // ---- Diagnostics read by the runner after execution ------------------
-  const VoteIntention& intention() const noexcept { return intention_; }
+  const VoteIntention& intention() const noexcept { return *intention_; }
   const ReceivedVotes& received_votes() const noexcept {
     return received_votes_;
   }
@@ -49,9 +49,9 @@ class ProtocolAgent : public sim::Agent {
     return collected_;
   }
   bool has_own_certificate() const noexcept { return has_own_certificate_; }
-  const Certificate& own_certificate() const noexcept { return own_cert_; }
+  const Certificate& own_certificate() const noexcept { return *own_cert_; }
   bool has_min_certificate() const noexcept { return has_min_certificate_; }
-  const Certificate& min_certificate() const noexcept { return min_cert_; }
+  const Certificate& min_certificate() const noexcept { return *min_cert_; }
   /// Labels that pulled us during the Commitment phase (first pull only is
   /// binding, but we record all for the Def. 5 diagnostics).
   const std::vector<sim::AgentId>& commitment_pullers() const noexcept {
@@ -114,7 +114,8 @@ class ProtocolAgent : public sim::Agent {
   virtual Certificate build_own_certificate(const sim::Context& ctx);
 
   /// Find-Min adoption rule (default: keep the smaller of ours/theirs).
-  virtual void consider_certificate(const Certificate& certificate);
+  /// Adopting shares the pulled box; it is never copied.
+  virtual void consider_certificate(SharedCertificate certificate);
 
   /// Reply served to a Find-Min pull (default: current minimal certificate).
   virtual sim::Payload find_min_reply(const sim::Context& ctx,
@@ -124,7 +125,9 @@ class ProtocolAgent : public sim::Agent {
   virtual sim::Action coherence_action(const sim::Context& ctx);
 
   /// Handles a certificate pushed at us during Coherence (default: make the
-  /// protocol fail on any mismatch, per Algorithm 1).
+  /// protocol fail on any mismatch, per Algorithm 1).  `certificate` is the
+  /// pushed box's object, so a push of the very box we hold is recognised
+  /// by address before any deep compare.
   virtual void on_coherence_certificate(const Certificate& certificate);
 
   /// Handles a fingerprint pushed at us during Coherence when the digest
@@ -141,10 +144,9 @@ class ProtocolAgent : public sim::Agent {
     decided_ = true;
   }
 
-  /// Shared payload wrapping min_cert_, rebuilt only when it changes.
-  /// Serving Θ(log n) pulls per Find-Min round from one boxed allocation
-  /// keeps the simulator's constant factors down.
-  sim::Payload min_cert_payload();
+  /// Payload wrapping the CE_min box (empty before Find-Min).  Every
+  /// Find-Min reply and Coherence push shares that one allocation.
+  sim::Payload min_cert_payload() const;
 
   void decide(Color c) noexcept {
     final_color_ = c;
@@ -152,13 +154,16 @@ class ProtocolAgent : public sim::Agent {
   }
 
   // ---- Protocol state (visible to deviation subclasses) ----------------
+  // H_u, CE_u and CE_min are immutable boxes shared with the payloads that
+  // serve them and the peers that adopt them (types.hpp has the contract).
+  // Before they exist they point at static empty objects, never null.
   ProtocolParams params_;
   Color color_;                      ///< c_u, the initially supported color.
-  VoteIntention intention_;          ///< H_u.
+  SharedIntention intention_;        ///< H_u.
   CollectedIntentions collected_;    ///< L_u.
   ReceivedVotes received_votes_;     ///< W_u.
-  Certificate own_cert_;             ///< CE_u (after Voting).
-  Certificate min_cert_;             ///< CE_min_u (during/after Find-Min).
+  SharedCertificate own_cert_;       ///< CE_u (after Voting).
+  SharedCertificate min_cert_;       ///< CE_min_u (during/after Find-Min).
   bool has_own_certificate_ = false;
   bool has_min_certificate_ = false;
   bool failed_ = false;
@@ -174,9 +179,6 @@ class ProtocolAgent : public sim::Agent {
  private:
   void record_commitment_reply(sim::AgentId target,
                                const sim::Payload& reply);
-
-  sim::Payload cached_intention_payload_;
-  sim::Payload cached_min_cert_payload_;
 };
 
 }  // namespace rfc::core

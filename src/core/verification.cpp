@@ -1,6 +1,7 @@
 #include "core/verification.hpp"
 
 #include <unordered_set>
+#include <utility>
 
 namespace rfc::core {
 
@@ -15,6 +16,17 @@ std::string to_string(VerificationFailure f) {
     case VerificationFailure::kMissingVote: return "missing-vote";
   }
   return "unknown";
+}
+
+CommitmentRecord commitment_record(const ProtocolParams& params,
+                                   SharedIntention declared) {
+  // "Replies in an unexpected way" (footnote 4): no reply, wrong length or
+  // out-of-domain entries all mark the peer faulty.
+  if (declared == nullptr || declared->size() != params.q) return {};
+  for (const VoteEntry& e : *declared) {
+    if (e.value >= params.m || e.target >= params.n) return {};
+  }
+  return {std::move(declared)};
 }
 
 VerificationResult verify_certificate(const ProtocolParams& params,
@@ -45,10 +57,10 @@ VerificationResult verify_certificate(const ProtocolParams& params,
     const auto it = collected.find(v.voter);
     if (it == collected.end()) continue;  // We never audited this voter.
     const CommitmentRecord& record = it->second;
-    if (record.marked_faulty) {
+    if (record.marked_faulty()) {
       return {VerificationFailure::kVoteFromFaulty};
     }
-    const VoteEntry& declared = record.intention.at(v.round_index);
+    const VoteEntry& declared = record.intention->at(v.round_index);
     if (declared.target != certificate.owner ||
         declared.value != v.value) {
       return {VerificationFailure::kIntentionMismatch};
@@ -59,9 +71,10 @@ VerificationResult verify_certificate(const ProtocolParams& params,
   // must be present.  This closes the vote-dropping loophole.
   if (params.strict_verification) {
     for (const auto& [voter, record] : collected) {
-      if (record.marked_faulty) continue;
-      for (std::uint32_t j = 0; j < record.intention.size(); ++j) {
-        if (record.intention[j].target != certificate.owner) continue;
+      if (record.marked_faulty()) continue;
+      const VoteIntention& declared = *record.intention;
+      for (std::uint32_t j = 0; j < declared.size(); ++j) {
+        if (declared[j].target != certificate.owner) continue;
         const std::uint64_t key =
             (static_cast<std::uint64_t>(voter) << 32) | j;
         if (!seen.contains(key)) {

@@ -46,6 +46,14 @@ struct VerificationResult {
   }
 };
 
+/// The L_u record of a Commitment-phase reply: `declared` (null when the
+/// peer was silent) if it is well-formed — exactly q entries, each value in
+/// [m] and target in [n] — otherwise the marked-faulty record.  The record
+/// adopts `declared` as is, so callers pass the reply's own heap box (or a
+/// private copy of an arena-boxed one, see core/payloads.hpp).
+CommitmentRecord commitment_record(const ProtocolParams& params,
+                                   SharedIntention declared);
+
 VerificationResult verify_certificate(const ProtocolParams& params,
                                       const Certificate& certificate,
                                       const CollectedIntentions& collected);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "core/payloads.hpp"
 
@@ -208,7 +209,7 @@ sim::Payload FindMinSuppressAgent::find_min_reply(const sim::Context& ctx,
   if (!has_own_certificate_) return {};
   // Serve our own certificate, never the smaller ones we have seen; the
   // auditor copies it out within the round, so it is arena-transient.
-  return core::make_certificate_payload_in(ctx.arena, own_cert_, params_);
+  return core::make_certificate_payload_in(ctx.arena, *own_cert_, params_);
 }
 
 // ---------------------------------------------------------------------------
@@ -216,9 +217,9 @@ sim::Payload FindMinSuppressAgent::find_min_reply(const sim::Context& ctx,
 // ---------------------------------------------------------------------------
 
 void StubbornCertAgent::consider_certificate(
-    const core::Certificate& certificate) {
-  if (coalition_->contains(certificate.owner)) {
-    core::ProtocolAgent::consider_certificate(certificate);
+    core::SharedCertificate certificate) {
+  if (coalition_->contains(certificate->owner)) {
+    core::ProtocolAgent::consider_certificate(std::move(certificate));
   }
   // Smaller honest certificates are ignored: we keep pushing ours.
 }
@@ -279,7 +280,7 @@ void SkipVerificationAgent::on_coherence_digest(std::uint64_t) {
 
 void SkipVerificationAgent::finalize(const sim::Context&) {
   if (has_min_certificate_) {
-    decide(min_cert_.color);
+    decide(min_cert_->color);
   } else {
     fail_protocol();
   }

@@ -16,10 +16,11 @@
 //     Valid for one round only: EngineCore resets its arenas at the shard
 //     barrier, so producers use it for genuinely transient messages (a
 //     reply consumed in this round's delivery hook) and consumers must copy
-//     the value out, never retain the payload across rounds.  Every shipped
-//     delivery hook already copies; agents that cache a payload across
-//     rounds (ProtocolAgent's intention/certificate caches) keep the
-//     shared_ptr form.
+//     the value out, never retain the payload across rounds.  Consumers
+//     that retain a boxed object share it through shared_as() and fall
+//     back to a private copy for arena-boxed ones; agents that cache a
+//     payload across rounds (ProtocolAgent's intention/certificate caches)
+//     keep the shared_ptr form.
 //
 // This replaces the old virtual `Payload` class: the simulation hot path
 // (Action buffers, pull-reply scratch, per-message delivery) now moves
@@ -190,6 +191,18 @@ class Payload {
       return static_cast<const T*>(data_.arena_object);
     }
     return nullptr;
+  }
+
+  /// A shared handle on the boxed object: an aliasing shared_ptr for
+  /// Kind::kBoxed payloads carrying `expected_tag`, null otherwise.  An
+  /// arena-boxed object dies at the round barrier and cannot be shared, so
+  /// it also yields null — consumers that retain it take their own copy
+  /// (via boxed_as) instead.
+  template <typename T>
+  std::shared_ptr<const T> shared_as(PayloadTag expected_tag) const noexcept {
+    if (tag_ != expected_tag || kind_ != Kind::kBoxed) return nullptr;
+    return std::shared_ptr<const T>(
+        data_.object, static_cast<const T*>(data_.object.get()));
   }
 
  private:

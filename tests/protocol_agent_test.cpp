@@ -62,8 +62,8 @@ TEST(ProtocolAgent, CommitmentCollectsOnePullPerRound) {
     EXPECT_LE(agent->collected_intentions().size(), w.params.q);
     for (const auto& [peer, record] : agent->collected_intentions()) {
       EXPECT_LT(peer, w.params.n);
-      EXPECT_FALSE(record.marked_faulty);  // Everyone honest & active.
-      EXPECT_EQ(record.intention.size(), w.params.q);
+      ASSERT_FALSE(record.marked_faulty());  // Everyone honest & active.
+      EXPECT_EQ(record.intention->size(), w.params.q);
     }
   }
 }
@@ -78,10 +78,10 @@ TEST(ProtocolAgent, FaultyPeersAreMarkedFaulty) {
     for (const auto& [peer, record] :
          w.agents[i]->collected_intentions()) {
       if (peer >= 16) {
-        EXPECT_TRUE(record.marked_faulty);
+        EXPECT_TRUE(record.marked_faulty());
         saw_faulty_mark = true;
       } else {
-        EXPECT_FALSE(record.marked_faulty);
+        EXPECT_FALSE(record.marked_faulty());
       }
     }
   }

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "core/payloads.hpp"
 #include "core/runner.hpp"
 #include "sim/network.hpp"
@@ -22,25 +25,43 @@ class VerificationTest : public ::testing::Test {
     cert_ = Certificate{};
     cert_.owner = winner;
     cert_.color = 3;
-    collected_.clear();
+    collected_ = {};
     std::uint64_t value = 10;
     for (int v = 1; v <= num_voters; ++v) {
-      CommitmentRecord record;
-      record.intention.assign(params_.q, {0, sim::kNoAgent});
+      VoteIntention intention(params_.q, {0, sim::kNoAgent});
       for (std::uint32_t j = 0; j < params_.q; ++j) {
         // Even rounds vote for the winner, odd rounds elsewhere.
         if (j % 2 == 0) {
-          record.intention[j] = {value, winner};
+          intention[j] = {value, winner};
           cert_.votes.push_back(
               {static_cast<sim::AgentId>(v), j, value});
           value += 7;
         } else {
-          record.intention[j] = {value * 3, static_cast<sim::AgentId>(63)};
+          intention[j] = {value * 3, static_cast<sim::AgentId>(63)};
         }
       }
-      collected_.emplace(static_cast<sim::AgentId>(v), std::move(record));
+      collected_.emplace(
+          static_cast<sim::AgentId>(v),
+          {std::make_shared<const VoteIntention>(std::move(intention))});
     }
     cert_.k = cert_.vote_sum(params_);
+  }
+
+  /// Replaces `peer`'s record with the marked-faulty one (L_u is
+  /// first-declaration-wins, so the map is rebuilt rather than edited).
+  void remark_faulty(sim::AgentId peer) {
+    CollectedIntentions rebuilt;
+    for (const auto& [p, record] : collected_) {
+      rebuilt.emplace(p, p == peer ? CommitmentRecord{} : record);
+    }
+    collected_ = std::move(rebuilt);
+  }
+
+  /// The intention `peer` declared (must be audited and not faulty).
+  const VoteIntention& declared(sim::AgentId peer) const {
+    const auto it = collected_.find(peer);
+    EXPECT_NE(it, collected_.end());
+    return *it->second.intention;
   }
 
   ProtocolParams params_;
@@ -109,8 +130,8 @@ TEST_F(VerificationTest, RejectsVoteFromPeerMarkedFaulty) {
   build_consistent_world(0, 2);
   // Re-mark voter 1 as faulty: its votes all count as zero (footnote 4),
   // so any vote from it in W is a lie.
-  collected_[1].marked_faulty = true;
-  collected_[1].intention.clear();
+  remark_faulty(1);
+  ASSERT_TRUE(collected_.find(1)->second.marked_faulty());
   const auto r = verify_certificate(params_, cert_, collected_);
   EXPECT_EQ(r.failure, VerificationFailure::kVoteFromFaulty);
 }
@@ -126,8 +147,8 @@ TEST_F(VerificationTest, RejectsValueDifferentFromDeclaration) {
 TEST_F(VerificationTest, RejectsVoteDeclaredForAnotherTarget) {
   build_consistent_world(0, 2);
   // Claim voter 1's round-1 vote (declared for agent 63) was for us.
-  const auto& declared = collected_[1].intention[1];
-  cert_.votes.push_back({1, 1, declared.value});
+  const VoteEntry& entry = declared(1)[1];
+  cert_.votes.push_back({1, 1, entry.value});
   cert_.k = cert_.vote_sum(params_);
   const auto r = verify_certificate(params_, cert_, collected_);
   EXPECT_EQ(r.failure, VerificationFailure::kIntentionMismatch);
